@@ -45,14 +45,19 @@ race:
 # runs a strided subset), and the sixth cycles concurrent merged readers
 # against a writer mutating a sharded engine (document adds, promotions,
 # shard-split batches) checking every merged result stays sorted and
-# duplicate-free.
+# duplicate-free. TestCloneIsolationUnderReaders mutates copy-on-write
+# clones of a snapshot that readers are querying and checks the snapshot's
+# fingerprint never moves. Every test runs at GOMAXPROCS 1, 2 and 4, so
+# races and scheduling bugs that hide on one core count cannot hide on all
+# of them.
 stress:
-	$(GO) test -race -count 2 -run TestSnapshotStressConcurrent .
-	$(GO) test -race -count 2 -run TestApplyBatchStressConcurrent .
-	$(GO) test -race -count 1 -run TestStoreCrashPointSweep .
-	$(GO) test -race -count 1 -run TestBuildPartitionIdentity ./internal/experiments/
-	$(GO) test -race -count 1 -run 'TestReplicaConvergesUnderFaults|TestReplicaCatchUpCrashSweep' ./internal/replica/
-	$(GO) test -race -count 1 -run TestShardConcurrentReadersWriters ./internal/shard/
+	$(GO) test -race -cpu 1,2,4 -count 2 -run TestSnapshotStressConcurrent .
+	$(GO) test -race -cpu 1,2,4 -count 2 -run TestApplyBatchStressConcurrent .
+	$(GO) test -race -cpu 1,2,4 -count 1 -run TestCloneIsolationUnderReaders .
+	$(GO) test -race -cpu 1,2,4 -count 1 -run TestStoreCrashPointSweep .
+	$(GO) test -race -cpu 1,2,4 -count 1 -run TestBuildPartitionIdentity ./internal/experiments/
+	$(GO) test -race -cpu 1,2,4 -count 1 -run 'TestReplicaConvergesUnderFaults|TestReplicaCatchUpCrashSweep' ./internal/replica/
+	$(GO) test -race -cpu 1,2,4 -count 1 -run TestShardConcurrentReadersWriters ./internal/shard/
 
 # fuzz-smoke gives each untrusted-input decoder a short fuzzing burst: the
 # checkpoint codec, the write-ahead log replayer, and the XML loader. Long
@@ -171,11 +176,12 @@ serve-smoke:
 
 # bench-baseline records the regression-guard baseline: several short
 # repetitions of the guarded benchmarks (query throughput, the parallel
-# snapshot-serving path, the in-memory group-commit write pipeline, and the
-# sharded engine's scatter-gather read and shard-split write paths), parsed
-# to JSON. bench-guard compares future runs against it per benchmark name on
+# snapshot-serving path, the in-memory group-commit write pipeline, the
+# copy-on-write snapshot clone every commit pays, and the sharded engine's
+# scatter-gather read and shard-split write paths), parsed to JSON.
+# bench-guard compares future runs against it per benchmark name on
 # best-of-N ns/op.
-GUARDED_BENCH = BenchmarkQueryThroughput$$|BenchmarkSnapshotQueryParallel$$|BenchmarkApplyBatchPipeline$$|BenchmarkShardQueryFanout$$|BenchmarkShardApplyBatch$$
+GUARDED_BENCH = BenchmarkQueryThroughput$$|BenchmarkSnapshotQueryParallel$$|BenchmarkApplyBatchPipeline$$|BenchmarkCloneXMark$$|BenchmarkShardQueryFanout$$|BenchmarkShardApplyBatch$$
 
 bench-baseline:
 	DK_BENCH_SCALE=$(DK_BENCH_SCALE) $(GO) test -run '^$$' \

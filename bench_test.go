@@ -824,6 +824,25 @@ func BenchmarkApplyBatchPipeline(b *testing.B) {
 	b.ReportMetric(float64(len(batch)), "mutations/op")
 }
 
+// BenchmarkCloneXMark measures the one copy a commit pays before applying
+// anything: core.DK.Clone of the XMark snapshot under the workload-tuned
+// index. Per-node state is copy-on-write, so this is chunk tables plus
+// O(labels), and it must stay flat as the corpus grows (the deep copy it
+// replaced took ~23 ms on this index at scale 1).
+func BenchmarkCloneXMark(b *testing.B) {
+	ds := benchXMark(b)
+	dk := core.Build(ds.G, ds.W.Requirements())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cloneSink = dk.Clone()
+	}
+	b.ReportMetric(float64(dk.IG.NumNodes()), "index_nodes")
+}
+
+// cloneSink keeps BenchmarkCloneXMark's result live.
+var cloneSink *core.DK
+
 // BenchmarkXMLLoad measures the XML-to-graph pipeline on the XMark document.
 func BenchmarkXMLLoad(b *testing.B) {
 	doc := datagen.XMark(datagen.XMarkScale(benchScale()))

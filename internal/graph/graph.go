@@ -3,6 +3,8 @@ package graph
 import (
 	"errors"
 	"fmt"
+
+	"dkindex/internal/cow"
 )
 
 // NodeID identifies a node within a Graph. Node identifiers are dense and
@@ -17,16 +19,24 @@ const InvalidNode NodeID = -1
 // bisimulation (which partitions nodes by their incoming structure) and
 // forward query evaluation are both efficient.
 //
-// A Graph owns (or shares) a LabelTable. Graphs derived from the same
-// document share one table so LabelIDs are comparable across them.
+// Adjacency rows live in copy-on-write chunks (internal/cow): Clone copies
+// chunk tables, not nodes, and a mutation on either side afterwards copies
+// only the chunks and rows it touches. Node labels and label posting lists
+// are append-only, so clones share them with capped capacity and an append
+// after Clone reallocates. Adjacency rows are kept strictly ascending, which
+// makes HasEdge a binary search and every traversal order canonical.
 //
-// Graph is not safe for concurrent mutation; concurrent reads are fine.
+// A Graph owns a LabelTable. Graphs derived from the same document share one
+// table so LabelIDs are comparable across them; Clone gives the copy a
+// private table with the same ids.
+//
+// Graph is not safe for concurrent mutation; concurrent reads (and Clones)
+// are fine.
 type Graph struct {
 	labels    *LabelTable
 	nodeLabel []LabelID
-	children  [][]NodeID
-	parents   [][]NodeID
-	edgeSet   map[edgeKey]struct{}
+	children  cow.Rows[NodeID]
+	parents   cow.Rows[NodeID]
 	numEdges  int
 	root      NodeID
 	// byLabel[l] lists the nodes carrying label l in ascending order (node
@@ -36,8 +46,6 @@ type Graph struct {
 	byLabel [][]NodeID
 }
 
-type edgeKey struct{ from, to NodeID }
-
 // New returns an empty graph with a fresh label table.
 func New() *Graph {
 	return NewWithLabels(NewLabelTable())
@@ -45,11 +53,7 @@ func New() *Graph {
 
 // NewWithLabels returns an empty graph that shares the given label table.
 func NewWithLabels(t *LabelTable) *Graph {
-	return &Graph{
-		labels:  t,
-		edgeSet: make(map[edgeKey]struct{}),
-		root:    InvalidNode,
-	}
+	return &Graph{labels: t, root: InvalidNode}
 }
 
 // Labels returns the label table shared by this graph.
@@ -71,10 +75,10 @@ func (g *Graph) AddNodeID(label LabelID) NodeID {
 	if label < 0 || int(label) >= g.labels.Len() {
 		panic(fmt.Sprintf("graph: AddNodeID with foreign label id %d", label))
 	}
-	id := NodeID(len(g.nodeLabel))
+	id := NodeID(g.NumNodes())
 	g.nodeLabel = append(g.nodeLabel, label)
-	g.children = append(g.children, nil)
-	g.parents = append(g.parents, nil)
+	g.children.Append()
+	g.parents.Append()
 	for int(label) >= len(g.byLabel) {
 		g.byLabel = append(g.byLabel, nil)
 	}
@@ -109,13 +113,10 @@ func (g *Graph) Root() NodeID { return g.root }
 func (g *Graph) AddEdge(from, to NodeID) bool {
 	g.checkNode(from)
 	g.checkNode(to)
-	k := edgeKey{from, to}
-	if _, dup := g.edgeSet[k]; dup {
+	if !g.children.Insert(int(from), to) {
 		return false
 	}
-	g.edgeSet[k] = struct{}{}
-	g.children[from] = insertSorted(g.children[from], to)
-	g.parents[to] = insertSorted(g.parents[to], from)
+	g.parents.Insert(int(to), from)
 	g.numEdges++
 	return true
 }
@@ -125,43 +126,18 @@ func (g *Graph) AddEdge(from, to NodeID) bool {
 func (g *Graph) RemoveEdge(from, to NodeID) bool {
 	g.checkNode(from)
 	g.checkNode(to)
-	k := edgeKey{from, to}
-	if _, ok := g.edgeSet[k]; !ok {
+	if !g.children.Remove(int(from), to) {
 		return false
 	}
-	delete(g.edgeSet, k)
-	g.children[from] = removeSorted(g.children[from], to)
-	g.parents[to] = removeSorted(g.parents[to], from)
+	g.parents.Remove(int(to), from)
 	g.numEdges--
 	return true
 }
 
-// removeSorted deletes one occurrence of id from the ascending slice s.
-func removeSorted(s []NodeID, id NodeID) []NodeID {
-	for i, v := range s {
-		if v == id {
-			return append(s[:i], s[i+1:]...)
-		}
-	}
-	return s
-}
-
-// insertSorted inserts id into the ascending slice s.
-func insertSorted(s []NodeID, id NodeID) []NodeID {
-	i := len(s)
-	for i > 0 && s[i-1] > id {
-		i--
-	}
-	s = append(s, 0)
-	copy(s[i+1:], s[i:])
-	s[i] = id
-	return s
-}
-
-// HasEdge reports whether the directed edge from -> to exists.
+// HasEdge reports whether the directed edge from -> to exists: a binary
+// search of from's ascending children row. Out-of-range ids have no edges.
 func (g *Graph) HasEdge(from, to NodeID) bool {
-	_, ok := g.edgeSet[edgeKey{from, to}]
-	return ok
+	return uint(from) < uint(g.NumNodes()) && g.children.Contains(int(from), to)
 }
 
 // Label returns the label id of node n.
@@ -175,18 +151,18 @@ func (g *Graph) LabelName(n NodeID) string {
 	return g.labels.Name(g.Label(n))
 }
 
-// Children returns the out-neighbors of n. The returned slice is owned by the
-// graph and must not be mutated.
+// Children returns the out-neighbors of n in ascending order. The returned
+// slice is owned by the graph and must not be mutated.
 func (g *Graph) Children(n NodeID) []NodeID {
 	g.checkNode(n)
-	return g.children[n]
+	return g.children.At(int(n))
 }
 
-// Parents returns the in-neighbors of n. The returned slice is owned by the
-// graph and must not be mutated.
+// Parents returns the in-neighbors of n in ascending order. The returned
+// slice is owned by the graph and must not be mutated.
 func (g *Graph) Parents(n NodeID) []NodeID {
 	g.checkNode(n)
-	return g.parents[n]
+	return g.parents.At(int(n))
 }
 
 // OutDegree returns the number of children of n.
@@ -222,82 +198,74 @@ func (g *Graph) NodesWithLabel(l LabelID) []NodeID {
 // NumLabels returns the number of labels interned in the shared table.
 func (g *Graph) NumLabels() int { return g.labels.Len() }
 
-// Clone returns a deep copy of the graph sharing the same label table.
+// Clone returns a copy of the graph that shares every adjacency chunk and
+// row (see internal/cow for the ownership rule) and, with capped capacity,
+// the append-only node labels and posting lists with the receiver, and has
+// a private copy of the label table: the copy may intern labels without the
+// receiver observing them. Label ids are preserved, so queries parsed
+// against the original table stay valid. The cost is O(nodes/chunk +
+// labels), and Clone only reads the receiver apart from an atomic ownership
+// revocation: it is safe on a graph that concurrent readers are using.
 func (g *Graph) Clone() *Graph {
 	c := &Graph{
-		labels:    g.labels,
-		nodeLabel: append([]LabelID(nil), g.nodeLabel...),
-		children:  make([][]NodeID, len(g.children)),
-		parents:   make([][]NodeID, len(g.parents)),
-		edgeSet:   make(map[edgeKey]struct{}, len(g.edgeSet)),
+		labels:    g.labels.Clone(),
+		nodeLabel: g.nodeLabel[:len(g.nodeLabel):len(g.nodeLabel)],
+		children:  g.children.Clone(),
+		parents:   g.parents.Clone(),
 		numEdges:  g.numEdges,
 		root:      g.root,
 		byLabel:   make([][]NodeID, len(g.byLabel)),
 	}
-	for i := range g.children {
-		c.children[i] = append([]NodeID(nil), g.children[i]...)
-		c.parents[i] = append([]NodeID(nil), g.parents[i]...)
+	for l, ns := range g.byLabel {
+		c.byLabel[l] = ns[:len(ns):len(ns)]
 	}
-	for i := range g.byLabel {
-		c.byLabel[i] = append([]NodeID(nil), g.byLabel[i]...)
-	}
-	for k := range g.edgeSet {
-		c.edgeSet[k] = struct{}{}
-	}
-	return c
-}
-
-// CloneDetached is Clone with a private copy of the label table as well, so
-// operations that intern new labels (document insertion, requirement
-// resolution) cannot be observed through previously shared graphs. Label ids
-// are preserved, so queries parsed against the original table stay valid.
-func (g *Graph) CloneDetached() *Graph {
-	c := g.Clone()
-	c.labels = g.labels.Clone()
 	return c
 }
 
 // ErrNoRoot is returned by operations that require a rooted graph.
 var ErrNoRoot = errors.New("graph: no root node set")
 
-// Validate performs structural sanity checks: adjacency symmetry, edge-set
-// consistency and root validity. It is intended for tests and for validating
-// loaded data, not for hot paths.
+// Validate performs structural sanity checks: every adjacency row is
+// strictly ascending (no duplicate edges) and in range, children and parents
+// mirror each other, the edge counter matches, posting lists re-derive from
+// the node labels, and the root is valid. It is intended for tests and for
+// validating loaded data, not for hot paths.
 func (g *Graph) Validate() error {
 	if g.root != InvalidNode {
 		if int(g.root) >= g.NumNodes() {
 			return fmt.Errorf("graph: root %d out of range", g.root)
 		}
 	}
-	fwd := 0
-	for n := range g.children {
-		for _, c := range g.children[n] {
-			if int(c) >= g.NumNodes() {
-				return fmt.Errorf("graph: edge %d->%d points past node range", n, c)
-			}
-			if _, ok := g.edgeSet[edgeKey{NodeID(n), c}]; !ok {
-				return fmt.Errorf("graph: edge %d->%d missing from edge set", n, c)
-			}
-			found := false
-			for _, p := range g.parents[c] {
-				if p == NodeID(n) {
-					found = true
-					break
-				}
-			}
-			if !found {
+	if g.children.Len() != g.NumNodes() || g.parents.Len() != g.NumNodes() {
+		return fmt.Errorf("graph: %d nodes but %d children rows, %d parent rows",
+			g.NumNodes(), g.children.Len(), g.parents.Len())
+	}
+	fwd, back := 0, 0
+	for n := 0; n < g.NumNodes(); n++ {
+		if err := checkRow(g.children.At(n), g.NumNodes(), "children", n); err != nil {
+			return err
+		}
+		if err := checkRow(g.parents.At(n), g.NumNodes(), "parents", n); err != nil {
+			return err
+		}
+		for _, c := range g.children.At(n) {
+			if !g.parents.Contains(int(c), NodeID(n)) {
 				return fmt.Errorf("graph: edge %d->%d missing reverse adjacency", n, c)
 			}
-			fwd++
 		}
+		fwd += len(g.children.At(n))
+		back += len(g.parents.At(n))
 	}
-	if fwd != g.numEdges || len(g.edgeSet) != g.numEdges {
-		return fmt.Errorf("graph: edge count mismatch: adjacency %d, set %d, counter %d",
-			fwd, len(g.edgeSet), g.numEdges)
+	// Every child entry has its parent mirror, so equal totals leave no
+	// parent entry without a child.
+	if fwd != g.numEdges || back != g.numEdges {
+		return fmt.Errorf("graph: edge count mismatch: children %d, parents %d, counter %d",
+			fwd, back, g.numEdges)
 	}
 	// Posting lists must exactly re-derive from the node labels.
 	want := make([][]NodeID, len(g.byLabel))
-	for n, l := range g.nodeLabel {
+	for n := 0; n < g.NumNodes(); n++ {
+		l := g.nodeLabel[n]
 		if int(l) >= len(want) {
 			return fmt.Errorf("graph: posting lists missing label %d", l)
 		}
@@ -317,10 +285,37 @@ func (g *Graph) Validate() error {
 	return nil
 }
 
-func (g *Graph) checkNode(n NodeID) {
-	if n < 0 || int(n) >= len(g.nodeLabel) {
-		panic(fmt.Sprintf("graph: node id %d out of range [0,%d)", n, len(g.nodeLabel)))
+// checkRow verifies that an adjacency row is strictly ascending and in
+// [0, numNodes).
+func checkRow(row []NodeID, numNodes int, name string, n int) error {
+	for i, v := range row {
+		if v < 0 || int(v) >= numNodes {
+			return fmt.Errorf("graph: %s row of %d lists %d outside the node range", name, n, v)
+		}
+		if i > 0 && row[i-1] >= v {
+			return fmt.Errorf("graph: %s row of %d not strictly ascending at %d", name, n, i)
+		}
 	}
+	return nil
+}
+
+// checkNode panics on an id outside [0, NumNodes). The panic is built by a
+// separate function so that checkNode, and the accessors calling it, stay
+// within the inlining budget.
+func (g *Graph) checkNode(n NodeID) {
+	if uint(n) >= uint(len(g.nodeLabel)) {
+		panic(nodeRangeError{n, len(g.nodeLabel)})
+	}
+}
+
+// nodeRangeError is the panic value of an out-of-range node id.
+type nodeRangeError struct {
+	n     NodeID
+	count int
+}
+
+func (e nodeRangeError) Error() string {
+	return fmt.Sprintf("graph: node id %d out of range [0,%d)", e.n, e.count)
 }
 
 // CompactReachable returns a new graph containing only the nodes reachable
@@ -348,7 +343,7 @@ func (g *Graph) CompactReachable() (*Graph, []NodeID, error) {
 		if mapping[n] == InvalidNode {
 			continue
 		}
-		for _, c := range g.children[n] {
+		for _, c := range g.children.At(n) {
 			if mapping[c] != InvalidNode {
 				out.AddEdge(mapping[n], mapping[c])
 			}

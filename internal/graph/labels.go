@@ -11,7 +11,8 @@ package graph
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 )
 
 // Reserved label names from the paper's data model.
@@ -29,35 +30,42 @@ type LabelID int32
 // InvalidLabel is returned for lookups of unknown label names.
 const InvalidLabel LabelID = -1
 
-// LabelTable interns label strings to dense LabelIDs. The zero value is not
-// usable; construct with NewLabelTable. A LabelTable is not safe for
-// concurrent mutation.
+// LabelTable interns label strings to dense LabelIDs. Names are kept in id
+// order plus a by-name permutation for lookups (a binary search), so a copy
+// is two small slices rather than a hash map. The zero value is an empty
+// table. A LabelTable is not safe for concurrent mutation.
 type LabelTable struct {
-	names []string
-	ids   map[string]LabelID
+	names  []string  // by id; append-only
+	byName []LabelID // ids ordered by name
 }
 
 // NewLabelTable returns an empty label table.
-func NewLabelTable() *LabelTable {
-	return &LabelTable{ids: make(map[string]LabelID)}
+func NewLabelTable() *LabelTable { return &LabelTable{} }
+
+// find returns the position of name in byName and whether it is there.
+func (t *LabelTable) find(name string) (int, bool) {
+	return slices.BinarySearchFunc(t.byName, name, func(id LabelID, name string) int {
+		return strings.Compare(t.names[id], name)
+	})
 }
 
 // Intern returns the LabelID for name, assigning a fresh one on first use.
 func (t *LabelTable) Intern(name string) LabelID {
-	if id, ok := t.ids[name]; ok {
-		return id
+	i, ok := t.find(name)
+	if ok {
+		return t.byName[i]
 	}
 	id := LabelID(len(t.names))
 	t.names = append(t.names, name)
-	t.ids[name] = id
+	t.byName = slices.Insert(t.byName, i, id)
 	return id
 }
 
 // Lookup returns the LabelID for name, or InvalidLabel if it has never been
 // interned.
 func (t *LabelTable) Lookup(name string) LabelID {
-	if id, ok := t.ids[name]; ok {
-		return id
+	if i, ok := t.find(name); ok {
+		return t.byName[i]
 	}
 	return InvalidLabel
 }
@@ -77,21 +85,16 @@ func (t *LabelTable) Len() int { return len(t.names) }
 // Names returns all interned label names in sorted order. The slice is fresh
 // and may be retained by the caller.
 func (t *LabelTable) Names() []string {
-	out := make([]string, len(t.names))
-	copy(out, t.names)
-	sort.Strings(out)
+	out := make([]string, len(t.byName))
+	for i, id := range t.byName {
+		out[i] = t.names[id]
+	}
 	return out
 }
 
-// Clone returns an independent copy of the table.
+// Clone returns an independent copy of the table. The append-only names are
+// shared with capped capacity (an Intern on either side reallocates them);
+// the by-name permutation is copied.
 func (t *LabelTable) Clone() *LabelTable {
-	c := &LabelTable{
-		names: make([]string, len(t.names)),
-		ids:   make(map[string]LabelID, len(t.ids)),
-	}
-	copy(c.names, t.names)
-	for k, v := range t.ids {
-		c.ids[k] = v
-	}
-	return c
+	return &LabelTable{names: t.names[:len(t.names):len(t.names)], byName: slices.Clone(t.byName)}
 }

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"sync"
 
+	"dkindex/internal/cow"
 	"dkindex/internal/graph"
 	"dkindex/internal/nodeset"
 	"dkindex/internal/partition"
@@ -27,32 +28,41 @@ const Exact = math.MaxInt32 / 4
 // Adjacency is maintained with data-edge counts so that extent splits and
 // incremental edge additions update the index graph without global rebuilds.
 type IndexGraph struct {
-	data   *graph.Graph
+	data *graph.Graph
+	// labels is append-only (a split appends the new node's label), so
+	// clones share it with capped capacity. The other per-index-node state
+	// lives in copy-on-write chunks (internal/cow), as the data graph's
+	// adjacency does: Clone copies chunk tables, and a split or an edge
+	// update copies only the chunks and rows it touches.
 	labels []graph.LabelID
 	// extents holds each node's extent as an immutable succinct set
 	// (internal/nodeset): clones share them, and query-side set algebra
 	// operates on the compressed form directly. Mutation paths (splits,
 	// repartitioning) decompress through extentScratch, recombine, and
 	// swap in fresh sets.
-	extents []nodeset.Set
-	k       []int
-	// children[a][b] = number of data edges from extent(a) into extent(b);
-	// parents is the mirror. An index edge exists iff its count is > 0.
-	children []map[graph.NodeID]int
-	parents  []map[graph.NodeID]int
-	// childList/parentList mirror the maps as ascending adjacency slices,
-	// maintained incrementally on edge appearance/disappearance so the query
-	// hot path never sorts map keys. Returned slices are owned by the index.
-	childList  [][]graph.NodeID
-	parentList [][]graph.NodeID
+	extents cow.Array[nodeset.Set]
+	k       cow.Array[int]
+	// childList[a] lists a's index children in ascending order, and
+	// childCount[a][i] is the number of data edges from extent(a) into
+	// extent(childList[a][i]): an index edge exists iff it is listed, and
+	// its count is then > 0. parentList is the ascending mirror. The lists
+	// are maintained incrementally on edge appearance/disappearance, so the
+	// query hot path reads them directly. Returned slices are owned by the
+	// index.
+	childList  cow.Rows[graph.NodeID]
+	childCount cow.Rows[int32]
+	parentList cow.Rows[graph.NodeID]
 	// byLabel[l] lists index nodes carrying label l in ascending order (new
 	// nodes always receive the largest id, so appending keeps lists sorted).
 	// Each posting list is a succinct-set builder: the sealed prefix is
 	// compressed, the open chunk stays as raw low-16 values, and query
 	// seeding reads PostingSet views instead of scanning all nodes.
-	byLabel  []*nodeset.Builder
+	byLabel  []nodeset.Builder
 	numEdges int
-	nodeOf   []graph.NodeID // data node -> index node
+	// nodeOf maps data node -> index node. It is as long as the data graph,
+	// so it lives in copy-on-write chunks: Clone copies the chunk table and
+	// a split copies only the chunks of the data nodes it moves.
+	nodeOf cow.Array[graph.NodeID]
 	// fbStable records that extents are forward-and-backward bisimilar
 	// (F&B classes): branching path queries are then sound on the index
 	// alone. Data mutations clear it.
@@ -73,50 +83,50 @@ func FromPartition(src Source, p *partition.Partition, kOf func(partition.BlockI
 	ig := &IndexGraph{
 		data:       data,
 		labels:     make([]graph.LabelID, nb),
-		extents:    make([]nodeset.Set, nb),
-		k:          make([]int, nb),
-		children:   make([]map[graph.NodeID]int, nb),
-		parents:    make([]map[graph.NodeID]int, nb),
-		childList:  make([][]graph.NodeID, nb),
-		parentList: make([][]graph.NodeID, nb),
-		nodeOf:     make([]graph.NodeID, data.NumNodes()),
+		extents:    cow.Make[nodeset.Set](nb),
+		k:          cow.Make[int](nb),
+		childList:  cow.MakeRows[graph.NodeID](nb),
+		childCount: cow.MakeRows[int32](nb),
+		parentList: cow.MakeRows[graph.NodeID](nb),
+		nodeOf:     cow.Make[graph.NodeID](data.NumNodes()),
 	}
 	for b := 0; b < nb; b++ {
 		mem := p.Members(partition.BlockID(b))
-		ig.labels[b] = src.Label(mem[0])
-		ig.k[b] = kOf(partition.BlockID(b))
-		ig.children[b] = make(map[graph.NodeID]int)
-		ig.parents[b] = make(map[graph.NodeID]int)
-		ig.appendPosting(ig.labels[b], graph.NodeID(b))
+		l := src.Label(mem[0])
+		ig.labels[b] = l
+		ig.k.Set(b, kOf(partition.BlockID(b)))
+		ig.appendPosting(l, graph.NodeID(b))
 		ext := extentScratchGet()
 		for _, m := range mem {
 			ext = src.AppendExtent(ext, m)
 		}
 		slices.Sort(ext)
-		ig.extents[b] = nodeset.FromSorted(ext)
+		ig.extents.Set(b, nodeset.FromSorted(ext))
 		for _, d := range ext {
-			ig.nodeOf[d] = graph.NodeID(b)
+			ig.nodeOf.Set(int(d), graph.NodeID(b))
 		}
 		extentScratchPut(ext)
 	}
 	// Derive index edges from data edges, counting multiplicities.
-	for u := 0; u < data.NumNodes(); u++ {
-		a := ig.nodeOf[u]
-		for _, v := range data.Children(graph.NodeID(u)) {
-			ig.incEdge(a, ig.nodeOf[v])
+	ig.deriveEdges()
+	return ig
+}
+
+// deriveEdges counts every data edge into the index adjacency.
+func (ig *IndexGraph) deriveEdges() {
+	for u := 0; u < ig.data.NumNodes(); u++ {
+		a := ig.IndexOf(graph.NodeID(u))
+		for _, v := range ig.data.Children(graph.NodeID(u)) {
+			ig.incEdge(a, ig.IndexOf(v))
 		}
 	}
-	return ig
 }
 
 // appendPosting records that index node n carries label l. Nodes are created
 // with ascending ids, so appending keeps each posting list sorted.
 func (ig *IndexGraph) appendPosting(l graph.LabelID, n graph.NodeID) {
 	for int(l) >= len(ig.byLabel) {
-		ig.byLabel = append(ig.byLabel, nil)
-	}
-	if ig.byLabel[l] == nil {
-		ig.byLabel[l] = new(nodeset.Builder)
+		ig.byLabel = append(ig.byLabel, nodeset.Builder{})
 	}
 	ig.byLabel[l].Append(n)
 }
@@ -136,53 +146,34 @@ func extentScratchPut(b []graph.NodeID) {
 	extentScratch.Put(&b)
 }
 
+// incEdge counts one more data edge from extent(a) into extent(b).
 func (ig *IndexGraph) incEdge(a, b graph.NodeID) {
-	if ig.children[a][b] == 0 {
-		ig.numEdges++
-		ig.childList[a] = insertSortedIDs(ig.childList[a], b)
-		ig.parentList[b] = insertSortedIDs(ig.parentList[b], a)
+	j, found := slices.BinarySearch(ig.childList.At(int(a)), b)
+	if found {
+		ig.childCount.SetAt(int(a), j, ig.childCount.At(int(a))[j]+1)
+		return
 	}
-	ig.children[a][b]++
-	ig.parents[b][a]++
+	ig.childList.InsertAt(int(a), j, b)
+	ig.childCount.InsertAt(int(a), j, 1)
+	ig.parentList.Insert(int(b), a)
+	ig.numEdges++
 }
 
+// decEdge counts one data edge from extent(a) into extent(b) less, removing
+// the index edge with its last data edge.
 func (ig *IndexGraph) decEdge(a, b graph.NodeID) {
-	c := ig.children[a][b]
-	switch {
-	case c > 1:
-		ig.children[a][b] = c - 1
-		ig.parents[b][a] = c - 1
-	case c == 1:
-		delete(ig.children[a], b)
-		delete(ig.parents[b], a)
-		ig.childList[a] = removeSortedIDs(ig.childList[a], b)
-		ig.parentList[b] = removeSortedIDs(ig.parentList[b], a)
-		ig.numEdges--
-	default:
+	j, found := slices.BinarySearch(ig.childList.At(int(a)), b)
+	if !found {
 		panic(fmt.Sprintf("index: decEdge on absent edge %d->%d", a, b))
 	}
-}
-
-// insertSortedIDs inserts id into the ascending slice s.
-func insertSortedIDs(s []graph.NodeID, id graph.NodeID) []graph.NodeID {
-	i := len(s)
-	for i > 0 && s[i-1] > id {
-		i--
+	if c := ig.childCount.At(int(a))[j]; c > 1 {
+		ig.childCount.SetAt(int(a), j, c-1)
+		return
 	}
-	s = append(s, 0)
-	copy(s[i+1:], s[i:])
-	s[i] = id
-	return s
-}
-
-// removeSortedIDs deletes one occurrence of id from the ascending slice s.
-func removeSortedIDs(s []graph.NodeID, id graph.NodeID) []graph.NodeID {
-	for i, v := range s {
-		if v == id {
-			return append(s[:i], s[i+1:]...)
-		}
-	}
-	return s
+	ig.childList.DeleteAt(int(a), j)
+	ig.childCount.DeleteAt(int(a), j)
+	ig.parentList.Remove(int(b), a)
+	ig.numEdges--
 }
 
 // Data returns the underlying data graph.
@@ -210,10 +201,10 @@ func (ig *IndexGraph) NumEdges() int { return ig.numEdges }
 func (ig *IndexGraph) Label(n graph.NodeID) graph.LabelID { return ig.labels[n] }
 
 // K returns the local similarity of index node n.
-func (ig *IndexGraph) K(n graph.NodeID) int { return ig.k[n] }
+func (ig *IndexGraph) K(n graph.NodeID) int { return ig.k.At(int(n)) }
 
 // SetK sets the local similarity of index node n.
-func (ig *IndexGraph) SetK(n graph.NodeID, k int) { ig.k[n] = k }
+func (ig *IndexGraph) SetK(n graph.NodeID, k int) { ig.k.Set(int(n), k) }
 
 // Extent returns the sorted data nodes represented by index node n as a
 // freshly allocated slice owned by the caller. Earlier versions returned the
@@ -221,34 +212,33 @@ func (ig *IndexGraph) SetK(n graph.NodeID, k int) { ig.k[n] = k }
 // the copy makes the read-only contract structural. Hot paths should prefer
 // ExtentSet (no decompression) or AppendExtent (caller-managed buffer).
 func (ig *IndexGraph) Extent(n graph.NodeID) []graph.NodeID {
-	return ig.extents[n].AppendTo(nil)
+	return ig.extents.At(int(n)).AppendTo(nil)
 }
 
 // ExtentSet returns index node n's extent in its succinct immutable form —
 // the zero-copy accessor for set-algebra query primitives.
-func (ig *IndexGraph) ExtentSet(n graph.NodeID) nodeset.Set { return ig.extents[n] }
+func (ig *IndexGraph) ExtentSet(n graph.NodeID) nodeset.Set { return ig.extents.At(int(n)) }
 
 // ExtentSize returns the extent cardinality without decompressing it.
-func (ig *IndexGraph) ExtentSize(n graph.NodeID) int { return ig.extents[n].Len() }
+func (ig *IndexGraph) ExtentSize(n graph.NodeID) int { return ig.ExtentSet(n).Len() }
 
 // IndexOf returns the index node whose extent contains data node d.
-func (ig *IndexGraph) IndexOf(d graph.NodeID) graph.NodeID { return ig.nodeOf[d] }
+func (ig *IndexGraph) IndexOf(d graph.NodeID) graph.NodeID { return ig.nodeOf.At(int(d)) }
 
 // Children returns the out-neighbors of index node n in ascending order.
-// The slice is owned by the index graph and must not be mutated; it is
-// maintained incrementally so the query hot path never sorts map keys.
+// The slice is owned by the index graph and must not be mutated.
 func (ig *IndexGraph) Children(n graph.NodeID) []graph.NodeID {
-	return ig.childList[n]
+	return ig.childList.At(int(n))
 }
 
 // Parents returns the in-neighbors of index node n in ascending order. The
 // slice is owned by the index graph and must not be mutated.
 func (ig *IndexGraph) Parents(n graph.NodeID) []graph.NodeID {
-	return ig.parentList[n]
+	return ig.parentList.At(int(n))
 }
 
 // HasEdge reports whether the index edge a -> b exists.
-func (ig *IndexGraph) HasEdge(a, b graph.NodeID) bool { return ig.children[a][b] > 0 }
+func (ig *IndexGraph) HasEdge(a, b graph.NodeID) bool { return ig.childList.Contains(int(a), b) }
 
 // NodesWithLabel returns the index nodes carrying label l in ascending order
 // as a freshly allocated slice owned by the caller. Query evaluation seeds
@@ -267,10 +257,8 @@ func (ig *IndexGraph) NodesWithLabel(l graph.LabelID) []graph.NodeID {
 // readers must seal first: afterwards PostingSet on a quiescent graph is a
 // pure read, safe under concurrent readers and cloning writers.
 func (ig *IndexGraph) SealPostings() {
-	for _, b := range ig.byLabel {
-		if b != nil {
-			b.View()
-		}
+	for l := range ig.byLabel {
+		ig.byLabel[l].View()
 	}
 }
 
@@ -278,7 +266,7 @@ func (ig *IndexGraph) SealPostings() {
 // the ascending index nodes carrying l. The view is immutable — later node
 // creation never mutates it. Unknown labels return the empty set.
 func (ig *IndexGraph) PostingSet(l graph.LabelID) nodeset.Set {
-	if l < 0 || int(l) >= len(ig.byLabel) || ig.byLabel[l] == nil {
+	if l < 0 || int(l) >= len(ig.byLabel) {
 		return nodeset.Set{}
 	}
 	return ig.byLabel[l].View()
@@ -291,79 +279,62 @@ func (ig *IndexGraph) NumLabels() int { return ig.data.Labels().Len() }
 // construction source for another index (subgraph addition, demotion). The
 // extent is decompressed directly into dst in ascending order.
 func (ig *IndexGraph) AppendExtent(dst []graph.NodeID, n graph.NodeID) []graph.NodeID {
-	return ig.extents[n].AppendTo(dst)
+	return ig.ExtentSet(n).AppendTo(dst)
 }
 
 var _ Source = (*IndexGraph)(nil)
 
-// Clone returns an independent deep copy sharing only the data graph.
+// Clone returns a copy that can be mutated — data graph included — without
+// the receiver observing it. Everything is shared copy-on-write: the data
+// graph (graph.Graph.Clone), the chunked per-index-node state
+// (internal/cow), the append-only labels and posting builders (capped), and
+// the immutable extent sets; the copy costs chunk tables and O(labels). The
+// split hook is not copied: instrumentation re-attaches per mutation.
 func (ig *IndexGraph) Clone() *IndexGraph {
-	return ig.CloneOnto(ig.data)
-}
-
-// CloneOnto is Clone with the copy reading extents and labels against the
-// given data graph instead of the shared one. The caller must pass a graph
-// with identical node numbering (typically data.Clone()); it is how writers
-// build a fully detached index copy before mutating both layers in place.
-// The split hook is not copied — instrumentation re-attaches per mutation.
-func (ig *IndexGraph) CloneOnto(data *graph.Graph) *IndexGraph {
 	c := &IndexGraph{
-		data:   data,
-		labels: append([]graph.LabelID(nil), ig.labels...),
-		// Extent sets are immutable: the clone shares their payloads and
-		// pays only a slice-header copy per node. Mutations swap in fresh
-		// sets without touching the shared ones.
-		extents:    append([]nodeset.Set(nil), ig.extents...),
-		k:          append([]int(nil), ig.k...),
-		children:   make([]map[graph.NodeID]int, len(ig.children)),
-		parents:    make([]map[graph.NodeID]int, len(ig.parents)),
-		childList:  make([][]graph.NodeID, len(ig.childList)),
-		parentList: make([][]graph.NodeID, len(ig.parentList)),
-		byLabel:    make([]*nodeset.Builder, len(ig.byLabel)),
+		data:       ig.data.Clone(),
+		labels:     ig.labels[:len(ig.labels):len(ig.labels)],
+		extents:    ig.extents.Clone(),
+		k:          ig.k.Clone(),
+		childList:  ig.childList.Clone(),
+		childCount: ig.childCount.Clone(),
+		parentList: ig.parentList.Clone(),
+		byLabel:    make([]nodeset.Builder, len(ig.byLabel)),
 		numEdges:   ig.numEdges,
-		nodeOf:     append([]graph.NodeID(nil), ig.nodeOf...),
+		nodeOf:     ig.nodeOf.Clone(),
 		fbStable:   ig.fbStable,
 	}
-	for i := range ig.extents {
-		c.children[i] = cloneCounts(ig.children[i])
-		c.parents[i] = cloneCounts(ig.parents[i])
-		c.childList[i] = append([]graph.NodeID(nil), ig.childList[i]...)
-		c.parentList[i] = append([]graph.NodeID(nil), ig.parentList[i]...)
-	}
-	for l, b := range ig.byLabel {
-		if b != nil {
-			c.byLabel[l] = b.Clone()
-		}
-	}
-	return c
-}
-
-func cloneCounts(m map[graph.NodeID]int) map[graph.NodeID]int {
-	c := make(map[graph.NodeID]int, len(m))
-	for k, v := range m {
-		c[k] = v
+	for l := range ig.byLabel {
+		c.byLabel[l] = ig.byLabel[l].Clone()
 	}
 	return c
 }
 
 // Validate checks all structural invariants: extents partition the data
 // nodes, labels are homogeneous, edge counts equal data-edge multiplicities,
-// and nodeOf is consistent. Intended for tests.
+// adjacency rows are strictly ascending and mirror each other, and nodeOf is
+// consistent. Intended for tests.
 func (ig *IndexGraph) Validate() error {
+	n := ig.NumNodes()
+	if ig.extents.Len() != n || ig.k.Len() != n || ig.childList.Len() != n ||
+		ig.childCount.Len() != n || ig.parentList.Len() != n {
+		return fmt.Errorf("index: per-node arrays disagree on the node count %d", n)
+	}
 	seen := make([]bool, ig.data.NumNodes())
-	for b := range ig.extents {
-		if ig.extents[b].IsEmpty() {
+	for b := 0; b < n; b++ {
+		ext := ig.extents.At(b)
+		if ext.IsEmpty() {
 			return fmt.Errorf("index: empty extent at node %d", b)
 		}
 		var extErr error
-		ig.extents[b].Iterate(func(d graph.NodeID) bool {
+		ext.Iterate(func(d graph.NodeID) bool {
 			if seen[d] {
 				extErr = fmt.Errorf("index: data node %d in two extents", d)
 				return false
 			}
 			seen[d] = true
-			if ig.nodeOf[d] != graph.NodeID(b) {
-				extErr = fmt.Errorf("index: nodeOf[%d]=%d, listed in %d", d, ig.nodeOf[d], b)
+			if ig.IndexOf(d) != graph.NodeID(b) {
+				extErr = fmt.Errorf("index: nodeOf[%d]=%d, listed in %d", d, ig.IndexOf(d), b)
 				return false
 			}
 			if ig.data.Label(d) != ig.labels[b] {
@@ -385,24 +356,35 @@ func (ig *IndexGraph) Validate() error {
 	want := make(map[[2]graph.NodeID]int)
 	for u := 0; u < ig.data.NumNodes(); u++ {
 		for _, v := range ig.data.Children(graph.NodeID(u)) {
-			want[[2]graph.NodeID{ig.nodeOf[u], ig.nodeOf[v]}]++
+			want[[2]graph.NodeID{ig.IndexOf(graph.NodeID(u)), ig.IndexOf(v)}]++
 		}
 	}
-	got := 0
-	for a := range ig.children {
-		for b, cnt := range ig.children[a] {
-			if cnt <= 0 {
+	got, back := 0, 0
+	for a := 0; a < n; a++ {
+		list, counts := ig.childList.At(a), ig.childCount.At(a)
+		if len(list) != len(counts) {
+			return fmt.Errorf("index: node %d lists %d children but %d counts", a, len(list), len(counts))
+		}
+		if err := checkAscending(list, "childList", a); err != nil {
+			return err
+		}
+		if err := checkAscending(ig.parentList.At(a), "parentList", a); err != nil {
+			return err
+		}
+		for i, b := range list {
+			key := [2]graph.NodeID{graph.NodeID(a), b}
+			if counts[i] <= 0 {
 				return fmt.Errorf("index: non-positive edge count %d->%d", a, b)
 			}
-			if want[[2]graph.NodeID{graph.NodeID(a), b}] != cnt {
-				return fmt.Errorf("index: edge %d->%d count %d, want %d",
-					a, b, cnt, want[[2]graph.NodeID{graph.NodeID(a), b}])
+			if want[key] != int(counts[i]) {
+				return fmt.Errorf("index: edge %d->%d count %d, want %d", a, b, counts[i], want[key])
 			}
-			if ig.parents[b][graph.NodeID(a)] != cnt {
+			if !ig.parentList.Contains(int(b), graph.NodeID(a)) {
 				return fmt.Errorf("index: edge %d->%d parent mirror mismatch", a, b)
 			}
-			got++
 		}
+		got += len(list)
+		back += len(ig.parentList.At(a))
 	}
 	if got != len(want) {
 		return fmt.Errorf("index: %d edges present, want %d", got, len(want))
@@ -410,22 +392,19 @@ func (ig *IndexGraph) Validate() error {
 	if got != ig.numEdges {
 		return fmt.Errorf("index: numEdges=%d, actual %d", ig.numEdges, got)
 	}
-	// Adjacency slice mirrors must match the maps, sorted ascending.
-	for a := range ig.children {
-		if err := checkMirror(ig.childList[a], ig.children[a], "childList", a); err != nil {
-			return err
-		}
-		if err := checkMirror(ig.parentList[a], ig.parents[a], "parentList", a); err != nil {
-			return err
-		}
+	// Every child entry has its parent mirror, so equal totals leave no
+	// parent entry without a child.
+	if back != got {
+		return fmt.Errorf("index: %d parent entries for %d edges", back, got)
 	}
 	// Posting lists must exactly re-derive from the node labels.
 	wantPost := make([][]graph.NodeID, len(ig.byLabel))
-	for n, l := range ig.labels {
+	for b := 0; b < n; b++ {
+		l := ig.labels[b]
 		if int(l) >= len(wantPost) {
 			return fmt.Errorf("index: posting lists missing label %d", l)
 		}
-		wantPost[l] = append(wantPost[l], graph.NodeID(n))
+		wantPost[l] = append(wantPost[l], graph.NodeID(b))
 	}
 	for l := range wantPost {
 		if got := ig.NodesWithLabel(graph.LabelID(l)); !slices.Equal(wantPost[l], got) {
@@ -459,12 +438,13 @@ const sliceHeaderBytes = 24
 // MemStats computes the current footprint in one pass over the containers.
 func (ig *IndexGraph) MemStats() MemStats {
 	var m MemStats
-	for b := range ig.extents {
-		ig.extents[b].AddStats(&m.Extents)
-		m.ExtentRawBytes += sliceHeaderBytes + 4*ig.extents[b].Len()
+	for b := 0; b < ig.extents.Len(); b++ {
+		ext := ig.extents.At(b)
+		ext.AddStats(&m.Extents)
+		m.ExtentRawBytes += sliceHeaderBytes + 4*ext.Len()
 	}
-	for _, pb := range ig.byLabel {
-		if pb != nil {
+	for l := range ig.byLabel {
+		if pb := &ig.byLabel[l]; pb.Len() > 0 {
 			pb.AddStats(&m.Postings)
 			m.PostingRawBytes += sliceHeaderBytes + 4*pb.Len()
 		}
@@ -472,18 +452,11 @@ func (ig *IndexGraph) MemStats() MemStats {
 	return m
 }
 
-// checkMirror verifies that list holds exactly the keys of m in ascending
-// order.
-func checkMirror(list []graph.NodeID, m map[graph.NodeID]int, name string, at int) error {
-	if len(list) != len(m) {
-		return fmt.Errorf("index: %s[%d] has %d entries, map has %d", name, at, len(list), len(m))
-	}
-	for i, v := range list {
-		if i > 0 && list[i-1] >= v {
+// checkAscending verifies that an adjacency row is strictly ascending.
+func checkAscending(list []graph.NodeID, name string, at int) error {
+	for i := 1; i < len(list); i++ {
+		if list[i-1] >= list[i] {
 			return fmt.Errorf("index: %s[%d] not strictly ascending at %d", name, at, i)
-		}
-		if m[v] <= 0 {
-			return fmt.Errorf("index: %s[%d] lists %d absent from map", name, at, v)
 		}
 	}
 	return nil

@@ -37,7 +37,8 @@ func (b *Builder) sealTail() {
 	b.sealed.keys = append(b.sealed.keys, b.tailKey)
 	b.sealed.cons = append(b.sealed.cons, makeContainerLows(b.tail))
 	b.sealed.n += len(b.tail)
-	b.tail = b.tail[:0]
+	// A fresh tail, not tail[:0]: clones may still share the old one.
+	b.tail = nil
 }
 
 // Len returns the number of ids appended.
@@ -66,22 +67,24 @@ func (b *Builder) View() Set {
 	return s
 }
 
-// Clone returns an independent builder with the same contents. Sealed
-// container payloads are shared (immutable); the open tail is copied.
-func (b *Builder) Clone() *Builder {
-	c := &Builder{
+// Clone returns a builder with the same contents that shares every payload
+// with b and copies none. Sealed containers are immutable; the clone's
+// slices are capped at their length, so its first append reallocates, while
+// b only ever appends past the clone's length (a sealed tail is replaced,
+// never reused). Appends on either side stay invisible to the other.
+func (b *Builder) Clone() Builder {
+	return Builder{
 		sealed: Set{
 			keys: b.sealed.keys[:len(b.sealed.keys):len(b.sealed.keys)],
 			cons: b.sealed.cons[:len(b.sealed.cons):len(b.sealed.cons)],
 			n:    b.sealed.n,
 		},
 		tailKey: b.tailKey,
-		tail:    append([]uint16(nil), b.tail...),
+		tail:    b.tail[:len(b.tail):len(b.tail)],
 		last:    b.last,
 		view:    b.view,
 		dirty:   b.dirty,
 	}
-	return c
 }
 
 // FromSet seeds a builder with an existing set's contents; subsequent

@@ -251,11 +251,23 @@ func TestBuilder(t *testing.T) {
 		t.Fatalf("grown view mismatch")
 	}
 
-	// Clone independence.
+	// Clone independence, both ways: the clone's appends, and the
+	// original's appends and seals, never reach the other side.
 	c := b2.Clone()
 	c.Append(ids[200])
 	if b2.Len() != 200 || c.Len() != 201 {
 		t.Fatalf("clone not independent: %d/%d", b2.Len(), c.Len())
+	}
+	if got := toSlice(c.View()); !slices.Equal(got, ids[:201]) {
+		t.Fatalf("clone view mismatch")
+	}
+	c2 := b2.Clone()
+	for _, id := range ids[200:] {
+		b2.Append(id)
+	}
+	b2.Append(ids[len(ids)-1] + 1<<16) // seals the open chunk
+	if got := toSlice(c2.View()); !slices.Equal(got, ids[:200]) {
+		t.Fatalf("original's appends reached its clone")
 	}
 
 	// Out-of-order append panics.

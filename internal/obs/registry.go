@@ -225,15 +225,22 @@ func (r *Registry) Histogram(name, help string, bounds []float64, labels ...Labe
 // exposition format (version 0.0.4), families in registration order and
 // series in label order.
 func (r *Registry) WritePrometheus(w io.Writer) error {
+	// seriesFor appends to and re-sorts a family's series slice under r.mu,
+	// so each slice is copied under the lock too; the series themselves are
+	// read through their atomics after it is released.
 	r.mu.Lock()
 	fams := append([]*family(nil), r.families...)
+	snap := make([][]*series, len(fams))
+	for i, f := range fams {
+		snap[i] = append([]*series(nil), f.series...)
+	}
 	r.mu.Unlock()
 	var b strings.Builder
-	for _, f := range fams {
+	for i, f := range fams {
 		b.Reset()
 		fmt.Fprintf(&b, "# HELP %s %s\n", f.name, escapeHelp(f.help))
 		fmt.Fprintf(&b, "# TYPE %s %s\n", f.name, f.kind)
-		for _, s := range f.series {
+		for _, s := range snap[i] {
 			switch f.kind {
 			case kindCounter:
 				fmt.Fprintf(&b, "%s%s %s\n", f.name, s.key, formatFloat(float64(s.c.Value())))

@@ -55,24 +55,39 @@ func TestLoadSheddingBoundsInFlight(t *testing.T) {
 	// Park requests inside a handler via a slow body: hold the limiter's
 	// only slot with a request whose handler blocks on a pipe.
 	srv.SetMaxInFlight(1)
-	ts := httptest.NewServer(srv)
+	// The POST holds the slot once its handler starts reading the body (the
+	// limiter admits before dispatch). Probing any earlier races the POST
+	// for the slot: a probe that wins it gets the POST itself shed, and no
+	// later probe can be.
+	holding := make(chan struct{})
+	var signal sync.Once
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPost {
+			r.Body = &firstReadBody{ReadCloser: r.Body, first: func() { signal.Do(func() { close(holding) }) }}
+		}
+		srv.ServeHTTP(w, r)
+	}))
 	t.Cleanup(ts.Close)
 
 	release := make(chan struct{})
-	holding := make(chan struct{})
+	posted := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
+		defer close(posted)
 		req, _ := http.NewRequest("POST", ts.URL+"/v1/documents", &blockingBody{release: release})
-		close(holding)
 		resp, err := http.DefaultClient.Do(req)
 		if err == nil {
 			resp.Body.Close()
 		}
 	}()
-	<-holding
-	// Wait until the slot is actually held, then expect sheds.
+	select {
+	case <-holding:
+	case <-posted:
+		t.Fatal("the held POST finished before its handler read the body")
+	}
+	// The slot is held: probes must be shed.
 	shed := false
 	for i := 0; i < 200 && !shed; i++ {
 		resp, err := http.Get(ts.URL + "/v1/stats")
@@ -103,6 +118,17 @@ func TestLoadSheddingBoundsInFlight(t *testing.T) {
 	if code, _ := get(t, ts.URL+"/v1/stats"); code != http.StatusOK {
 		t.Errorf("stats = %d after the held request drained", code)
 	}
+}
+
+// firstReadBody calls first before the first Read of the wrapped body.
+type firstReadBody struct {
+	io.ReadCloser
+	first func()
+}
+
+func (b *firstReadBody) Read(p []byte) (int, error) {
+	b.first()
+	return b.ReadCloser.Read(p)
 }
 
 // blockingBody is a request body that blocks until release is closed, so a

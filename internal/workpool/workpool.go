@@ -39,9 +39,14 @@ func acquire() {
 func release() { <-sem }
 
 // Workers returns the fan-out width for n items with at least minPerWorker
-// items per chunk: GOMAXPROCS capped at max, floored at 1. Callers use it to
-// compute deterministic chunk boundaries before handing chunks to the pool.
+// items per chunk: GOMAXPROCS capped at max, floored at 1. Empty input
+// (n <= 0) always gets one worker, whatever minPerWorker says. Callers use it
+// to compute deterministic chunk boundaries before handing chunks to the
+// pool.
 func Workers(n, minPerWorker, max int) int {
+	if n <= 0 {
+		return 1
+	}
 	w := runtime.GOMAXPROCS(0)
 	if max > 0 && w > max {
 		w = max

@@ -295,26 +295,6 @@ func (x *Index) submitPrepared(ps []*preparedMutation, wait bool) {
 	}
 }
 
-// cloneForBatch picks the weakest clone grade that covers every member:
-// label-interning ops (documents, demotes, explicit requirements) force a
-// detached clone, edge ops a private-graphs clone, and pure summary ops
-// (promote, optimize) share the data graph entirely.
-func cloneForBatch(dk *core.DK, ps []*preparedMutation) *core.DK {
-	edges := false
-	for _, p := range ps {
-		switch p.m.Op {
-		case MutAddDocument, MutDemote, MutSetRequirements:
-			return dk.CloneDetached()
-		case MutAddEdge, MutRemoveEdge:
-			edges = true
-		}
-	}
-	if edges {
-		return dk.CloneForUpdate()
-	}
-	return dk.CloneIndex()
-}
-
 // commitLocked settles a batch: one composite application to a private
 // clone, one WAL group append, one snapshot swap. Callers hold mu and have
 // assigned contiguous sequence numbers in slice order. Rejected members
@@ -332,7 +312,7 @@ func (x *Index) commitLocked(ps []*preparedMutation) {
 		start = time.Now()
 	}
 	cur := x.handle.Load()
-	nd := cloneForBatch(cur.dk, ps)
+	nd := cur.dk.Clone()
 	x.instrument(nd)
 
 	applied := make([]appliedMutation, 0, len(ps))
