@@ -60,14 +60,18 @@ stress:
 	$(GO) test -race -cpu 1,2,4 -count 1 -run TestShardConcurrentReadersWriters ./internal/shard/
 
 # fuzz-smoke gives each untrusted-input decoder a short fuzzing burst: the
-# checkpoint codec, the write-ahead log replayer, and the XML loader. Long
-# exploratory runs stay manual (go test -fuzz=... -fuzztime=5m).
+# checkpoint codec, the write-ahead log replayer, the XML loader, the
+# succinct-set codec, and the path-expression parser (whose fuzz target also
+# holds the set-table automaton kernels to their []bool reference
+# evaluators). Long exploratory runs stay manual (go test -fuzz=...
+# -fuzztime=5m).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzLoadDK -fuzztime 5s ./internal/codec
 	$(GO) test -run '^$$' -fuzz FuzzWALReplay -fuzztime 5s ./internal/wal
 	$(GO) test -run '^$$' -fuzz FuzzLoad -fuzztime 5s ./internal/xmlgraph
 	$(GO) test -run '^$$' -fuzz FuzzDecodeBlock -fuzztime 5s ./internal/nodeset
 	$(GO) test -run '^$$' -fuzz FuzzFromSortedAlgebra -fuzztime 5s ./internal/nodeset
+	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 5s ./internal/rpe
 
 vet:
 	$(GO) vet ./...
@@ -175,13 +179,14 @@ serve-smoke:
 		-serve-dur 400ms -serve-warmup 100ms -serve-conc 4 -serve-rate 400
 
 # bench-baseline records the regression-guard baseline: several short
-# repetitions of the guarded benchmarks (query throughput, the parallel
-# snapshot-serving path, the in-memory group-commit write pipeline, the
-# copy-on-write snapshot clone every commit pays, and the sharded engine's
-# scatter-gather read and shard-split write paths), parsed to JSON.
+# repetitions of the guarded benchmarks (query throughput, the regular path
+# expression validation kernel, the parallel snapshot-serving path, the
+# in-memory group-commit write pipeline, the copy-on-write snapshot clone
+# every commit pays, and the sharded engine's scatter-gather read and
+# shard-split write paths), parsed to JSON.
 # bench-guard compares future runs against it per benchmark name on
 # best-of-N ns/op.
-GUARDED_BENCH = BenchmarkQueryThroughput$$|BenchmarkSnapshotQueryParallel$$|BenchmarkApplyBatchPipeline$$|BenchmarkCloneXMark$$|BenchmarkShardQueryFanout$$|BenchmarkShardApplyBatch$$
+GUARDED_BENCH = BenchmarkQueryThroughput$$|BenchmarkQueryRPE$$|BenchmarkSnapshotQueryParallel$$|BenchmarkApplyBatchPipeline$$|BenchmarkCloneXMark$$|BenchmarkShardQueryFanout$$|BenchmarkShardApplyBatch$$
 
 bench-baseline:
 	DK_BENCH_SCALE=$(DK_BENCH_SCALE) $(GO) test -run '^$$' \

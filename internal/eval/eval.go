@@ -208,8 +208,9 @@ func validateMembers(ext []graph.NodeID, check func(d graph.NodeID, charge func(
 	if len(ext) < validateParallelThreshold || runtime.GOMAXPROCS(0) <= 1 {
 		var hits []graph.NodeID
 		charged := 0
+		charge := func(graph.NodeID) { charged++ }
 		for _, d := range ext {
-			if check(d, func(graph.NodeID) { charged++ }) {
+			if check(d, charge) {
 				hits = append(hits, d)
 			}
 		}
@@ -228,8 +229,9 @@ func validateMembers(ext []graph.NodeID, check func(d graph.NodeID, charge func(
 	results := make([]chunkResult, workers)
 	workpool.Chunks(len(ext), workers, func(w, lo, hi int) {
 		r := &results[w]
+		charge := func(graph.NodeID) { r.charged++ }
 		for _, d := range ext[lo:hi] {
-			if check(d, func(graph.NodeID) { r.charged++ }) {
+			if check(d, charge) {
 				r.hits = append(r.hits, d)
 			}
 		}

@@ -1,6 +1,7 @@
 package rpe
 
 import (
+	"math/bits"
 	"slices"
 	"sync"
 
@@ -35,7 +36,8 @@ type postingIndexed interface {
 
 // Compiled is a ready-to-evaluate expression: the forward automaton, its
 // reversal (for per-node validation walking parent edges), and the longest
-// word bound.
+// word bound. Evaluation runs on the automata's precompiled set tables; the
+// NFAs themselves back only the Reference* oracles.
 type Compiled struct {
 	Expr Expr
 	// MaxLen is the longest word length the expression matches, -1 if
@@ -43,17 +45,20 @@ type Compiled struct {
 	// MaxLen >= 0 and MaxLen-1 <= k(m).
 	MaxLen int
 
-	fwd *NFA
-	rev *NFA
+	fwd, rev       *setTable
+	fwdNFA, revNFA *NFA
 }
 
 // CompileExpr compiles e against a label table.
 func CompileExpr(e Expr, t *graph.LabelTable) *Compiled {
+	fwd, rev := Compile(e, t), Compile(reverseExpr(e), t)
 	return &Compiled{
 		Expr:   e,
 		MaxLen: MaxWordLen(e),
-		fwd:    Compile(e, t),
-		rev:    Compile(reverseExpr(e), t),
+		fwd:    newSetTable(fwd),
+		rev:    newSetTable(rev),
+		fwdNFA: fwd,
+		revNFA: rev,
 	}
 }
 
@@ -98,9 +103,12 @@ func (c *Compiled) Eval(g Source, visited func(graph.NodeID)) []graph.NodeID {
 // "rpe_fixpoint" span. A nil trace makes both free — StageStart skips the
 // clock read — and the visited charges are identical either way.
 func (c *Compiled) EvalTraced(g Source, visited func(graph.NodeID), tr *obs.Trace) []graph.NodeID {
+	t := c.fwd
+	w := t.words
 	n := g.NumNodes()
-	states := make([][]bool, n)
-	start := c.fwd.startSet()
+	// sets holds one state set per node, w words each; an all-zero set means
+	// no word has reached the node. The fixpoint widens sets in place.
+	sets := make([]uint64, n*w)
 
 	st := tr.StageStart()
 	queue := make([]graph.NodeID, 0, 64)
@@ -121,19 +129,18 @@ func (c *Compiled) EvalTraced(g Source, visited func(graph.NodeID), tr *obs.Trac
 			if post.IsEmpty() {
 				continue
 			}
-			s := c.fwd.stepOn(start, graph.LabelID(l))
-			if s == nil {
+			i := t.first[t.slot(graph.LabelID(l))]
+			if i < 0 {
 				continue
 			}
+			s := t.set(i)
 			post.Iterate(func(id graph.NodeID) bool {
-				// Each node needs its own state set: the fixpoint widens
-				// states in place as new words reach the node.
-				states[id] = append([]bool(nil), s...)
+				copy(sets[int(id)*w:], s)
 				return true
 			})
 		}
 		for i := 0; i < n; i++ {
-			if states[i] != nil {
+			if !isEmpty(sets[i*w : i*w+w]) {
 				push(graph.NodeID(i))
 			}
 		}
@@ -144,14 +151,13 @@ func (c *Compiled) EvalTraced(g Source, visited func(graph.NodeID), tr *obs.Trac
 			if len(nodes) == 0 {
 				continue
 			}
-			s := c.fwd.stepOn(start, graph.LabelID(l))
-			if s == nil {
+			i := t.first[t.slot(graph.LabelID(l))]
+			if i < 0 {
 				continue
 			}
+			s := t.set(i)
 			for _, id := range nodes {
-				// Each node needs its own state set: the fixpoint widens
-				// states in place as new words reach the node.
-				states[id] = append([]bool(nil), s...)
+				copy(sets[int(id)*w:], s)
 				seeds = append(seeds, id)
 			}
 		}
@@ -161,14 +167,15 @@ func (c *Compiled) EvalTraced(g Source, visited func(graph.NodeID), tr *obs.Trac
 		}
 	} else {
 		for i := 0; i < n; i++ {
-			if s := c.fwd.stepOn(start, g.Label(graph.NodeID(i))); s != nil {
-				states[i] = s
+			if j := t.first[t.slot(g.Label(graph.NodeID(i)))]; j >= 0 {
+				copy(sets[i*w:], t.set(j))
 				push(graph.NodeID(i))
 			}
 		}
 	}
 	tr.EndStage("rpe_seed", st)
 	st = tr.StageStart()
+	delta := make([]uint64, w)
 	for len(queue) > 0 {
 		cur := queue[0]
 		queue = queue[1:]
@@ -176,12 +183,14 @@ func (c *Compiled) EvalTraced(g Source, visited func(graph.NodeID), tr *obs.Trac
 		if visited != nil {
 			visited(cur)
 		}
+		// from aliases cur's set, so a self-loop that widens it mid-scan is
+		// seen by the remaining children, as in the reference.
+		from := sets[int(cur)*w : int(cur)*w+w]
 		for _, ch := range g.Children(cur) {
-			delta := c.fwd.stepOn(states[cur], g.Label(ch))
-			if delta == nil {
+			if !t.stepSet(delta, from, t.slot(g.Label(ch))) {
 				continue
 			}
-			if mergeStates(&states[ch], delta) {
+			if orInto(sets[int(ch)*w:int(ch)*w+w], delta) {
 				push(ch)
 			}
 		}
@@ -189,78 +198,110 @@ func (c *Compiled) EvalTraced(g Source, visited func(graph.NodeID), tr *obs.Trac
 
 	var out []graph.NodeID
 	for i := 0; i < n; i++ {
-		if states[i] != nil && c.fwd.anyAccept(states[i]) {
+		if t.accepts(sets[i*w : i*w+w]) {
 			out = append(out, graph.NodeID(i))
 		}
 	}
-	slices.Sort(out)
 	tr.EndStage("rpe_fixpoint", st)
 	return out
 }
 
-// mergeStates ORs delta into *dst, reporting whether *dst grew.
-func mergeStates(dst *[]bool, delta []bool) bool {
-	if *dst == nil {
-		cp := make([]bool, len(delta))
-		copy(cp, delta)
-		*dst = cp
-		return true
+// isEmpty reports whether set holds no state.
+func isEmpty(set []uint64) bool {
+	for _, w := range set {
+		if w != 0 {
+			return false
+		}
 	}
+	return true
+}
+
+// orInto ORs delta into dst, reporting whether dst grew.
+func orInto(dst, delta []uint64) bool {
 	grew := false
-	d := *dst
-	for q := range delta {
-		if delta[q] && !d[q] {
-			d[q] = true
+	for i, x := range delta {
+		if x&^dst[i] != 0 {
+			dst[i] |= x
 			grew = true
 		}
 	}
 	return grew
 }
 
-// pair is one (node, reversed-NFA-state) item of MatchesNode's BFS.
+// pair is one (node, reversed-automaton state) item of MatchesNode's BFS.
 type pair struct {
 	n graph.NodeID
 	q int32
 }
 
-// stampSet is an epoch-stamped dense set over int keys (graph.VisitSet for
-// the (node, state) product space, which can exceed the node id range).
-type stampSet struct {
-	stamp []uint32
-	epoch uint32
-}
-
-func (s *stampSet) reset(n int) {
-	if n > len(s.stamp) {
-		s.stamp = make([]uint32, n)
-		s.epoch = 1
-		return
-	}
-	s.epoch++
-	if s.epoch == 0 {
-		clear(s.stamp)
-		s.epoch = 1
-	}
-}
-
-func (s *stampSet) add(i int) bool {
-	if s.stamp[i] == s.epoch {
-		return false
-	}
-	s.stamp[i] = s.epoch
-	return true
-}
-
 // matchScratch pools MatchesNode's working state so validating an extent
-// member does not allocate; each concurrent validation draws its own.
+// member does not allocate; each concurrent validation draws its own. Each
+// node has a stamp, epoch<<1 plus a visited bit, and a mask of the
+// reversed-automaton states already queued at it, `words` words wide. A
+// stale stamp marks the node's mask as garbage, so a new search costs one
+// increment, whatever width the previous search used.
 type matchScratch struct {
-	pairSeen stampSet
-	nodeSeen stampSet
-	queue    []pair
-	single   []bool
+	stamps []uint32
+	masks  []uint64
+	words  int
+	epoch  uint32
+	queue  []pair
 }
 
 var matchScratchPool = sync.Pool{New: func() any { return new(matchScratch) }}
+
+// reset starts a search over n nodes with state sets of the given width.
+func (sc *matchScratch) reset(n, words int) {
+	if n > len(sc.stamps) {
+		// Zero stamps are stale for every epoch, which starts at 1.
+		sc.stamps = make([]uint32, n)
+	}
+	if n*words > len(sc.masks) {
+		sc.masks = make([]uint64, n*words)
+	}
+	sc.words = words
+	sc.epoch++
+	if sc.epoch == 1<<31 {
+		clear(sc.stamps)
+		sc.epoch = 1
+	}
+}
+
+// mask returns node n's mask, emptied first if its stamp is stale.
+func (sc *matchScratch) mask(n graph.NodeID) []uint64 {
+	m := sc.masks[int(n)*sc.words : (int(n)+1)*sc.words]
+	if sc.stamps[n]>>1 != sc.epoch {
+		sc.stamps[n] = sc.epoch << 1
+		clear(m)
+	}
+	return m
+}
+
+// visit charges n to visited the first time the search inspects it.
+func (sc *matchScratch) visit(n graph.NodeID, visited func(graph.NodeID)) {
+	if visited == nil {
+		return
+	}
+	sc.mask(n)
+	if sc.stamps[n]&1 == 0 {
+		sc.stamps[n] |= 1
+		visited(n)
+	}
+}
+
+// enqueue queues (n, q) for every state q of set not yet queued at n, in
+// ascending state order.
+func (sc *matchScratch) enqueue(n graph.NodeID, set []uint64) {
+	m := sc.mask(n)
+	for i, w := range set {
+		fresh := w &^ m[i]
+		m[i] |= fresh
+		for fresh != 0 {
+			sc.queue = append(sc.queue, pair{n, int32(i*64 + bits.TrailingZeros64(fresh))})
+			fresh &= fresh - 1
+		}
+	}
+}
 
 // MatchesNode reports whether the expression matches the specific node:
 // whether some node path ending at it spells an accepted word. It walks
@@ -268,64 +309,51 @@ var matchScratchPool = sync.Pool{New: func() any { return new(matchScratch) }}
 // memoization over (node, state) pairs — this is the validation primitive
 // for index results. visited, when non-nil, receives each node inspected.
 //
-// It is safe to call concurrently (working state is drawn from a pool), so
-// validation of one extent can be spread across CPUs.
+// Each parent edge costs one lookup in the reversed automaton's set table,
+// and the working state comes from a pool, so a call does not allocate once
+// the pool is warm. It is safe to call concurrently, so validation of one
+// extent can be spread across CPUs.
 func (c *Compiled) MatchesNode(g Source, node graph.NodeID, visited func(graph.NodeID)) bool {
-	// BFS over (node, reversed-NFA-state) pairs: polynomial in
-	// |nodes| x |states| even on cyclic graphs with starred expressions.
-	ns := c.rev.NumStates()
 	sc := matchScratchPool.Get().(*matchScratch)
-	defer matchScratchPool.Put(sc)
-	sc.pairSeen.reset(g.NumNodes() * ns)
-	sc.nodeSeen.reset(g.NumNodes())
-	queue := sc.queue[:0]
-	defer func() { sc.queue = queue[:0] }()
-	if cap(sc.single) < ns {
-		sc.single = make([]bool, ns)
-	}
-	single := sc.single[:ns]
-	visit := func(n graph.NodeID) {
-		if visited != nil && sc.nodeSeen.add(int(n)) {
-			visited(n)
-		}
-	}
-	enqueue := func(n graph.NodeID, set []bool) bool {
-		for q := range set {
-			if !set[q] {
-				continue
-			}
-			if c.rev.accept[q] {
-				return true
-			}
-			if sc.pairSeen.add(int(n)*ns + q) {
-				queue = append(queue, pair{n, int32(q)})
-			}
-		}
-		return false
-	}
+	sc.reset(g.NumNodes(), c.rev.words)
+	ok := sc.search(c.rev, g, node, visited)
+	sc.queue = sc.queue[:0]
+	matchScratchPool.Put(sc)
+	return ok
+}
 
-	visit(node)
-	startSet := c.rev.stepOn(c.rev.startSet(), g.Label(node))
-	if startSet == nil {
+// search is MatchesNode's BFS over (node, reversed-automaton state) pairs:
+// polynomial in |nodes| x |states| even on cyclic graphs with starred
+// expressions. Pairs are queued in ascending state order and the search
+// stops at the first accepting successor, so the visit charges are those of
+// ReferenceMatchesNode exactly.
+func (sc *matchScratch) search(t *setTable, g Source, node graph.NodeID, visited func(graph.NodeID)) bool {
+	sc.visit(node, visited)
+	first := t.first[t.slot(g.Label(node))]
+	if first < 0 {
 		return false
 	}
-	if enqueue(node, startSet) {
+	if t.accepting[first] {
 		return true
 	}
-	for head := 0; head < len(queue); head++ {
-		cur := queue[head]
-		visit(cur.n)
-		clear(single)
-		single[cur.q] = true
+	sc.enqueue(node, t.set(first))
+	for head := 0; head < len(sc.queue); head++ {
+		cur := sc.queue[head]
+		sc.visit(cur.n, visited)
+		if !t.moves[cur.q] {
+			continue
+		}
+		row := int(cur.q) * t.slots
 		for _, p := range g.Parents(cur.n) {
-			next := c.rev.stepOn(single, g.Label(p))
-			if next == nil {
+			i := t.next[row+t.slot(g.Label(p))]
+			if i < 0 {
 				continue
 			}
-			if enqueue(p, next) {
-				visit(p)
+			if t.accepting[i] {
+				sc.visit(p, visited)
 				return true
 			}
+			sc.enqueue(p, t.set(i))
 		}
 	}
 	return false

@@ -1,9 +1,25 @@
 package rpe
 
 import (
+	"errors"
 	"fmt"
 	"unicode"
 )
+
+// MaxStates bounds the size of an expression Parse accepts: its automaton
+// states, plus one for each '?', which nests the expression without adding a
+// state. Parenthesised groups may nest at most MaxStates deep. Both measures
+// depend only on the parsed expression, so its rendered source parses too.
+//
+// Compilation stores successor tables that grow with states × distinct
+// labels, and validation keeps a state set per data node, so the bound caps
+// what one query can make the evaluator allocate. It also bounds the
+// recursion depth of everything that walks an expression.
+const MaxStates = 512
+
+// ErrTooLarge is wrapped by Parse's error for an expression over MaxStates
+// or nested deeper.
+var ErrTooLarge = errors.New("rpe: expression too large")
 
 // Parse parses a regular path expression. Grammar (lowest precedence first):
 //
@@ -15,13 +31,21 @@ import (
 // 'a//b' is sugar for 'a.(_)*.b', and a leading '//' ("anywhere below") is
 // accepted as sugar for '(_)*.': "//a.b" parses as (_)*.a.b. Labels consist
 // of letters, digits and the characters '-', ':' and '@'.
+//
+// An expression over MaxStates, or nested deeper, fails with an error
+// wrapping ErrTooLarge. The parser stops as soon as the bound is passed, so
+// an oversized input costs no more than one at the bound.
 func Parse(src string) (Expr, error) {
-	p := &parser{src: src}
+	// The start state.
+	p := &parser{src: src, size: 1}
 	p.next()
 	var e Expr
 	var err error
 	if p.tok == tokSlash {
 		// Leading '//': anything (possibly empty) before the expression.
+		if err := p.grow(descStates); err != nil {
+			return nil, err
+		}
 		p.next()
 		rest, rerr := p.alt()
 		if rerr != nil {
@@ -66,12 +90,28 @@ const (
 )
 
 type parser struct {
-	src  string
-	pos  int
-	tok  token
-	text string
-	off  int // offset of current token
-	err  error
+	src   string
+	pos   int
+	tok   token
+	text  string
+	off   int // offset of current token
+	err   error
+	size  int // automaton states so far, plus options; see MaxStates
+	depth int // open groups
+}
+
+// descStates is what the '//' sugar adds: (_)* has the wildcard's state and
+// the star's entry and exit states.
+const descStates = 3
+
+// grow charges n units of the expression's size and fails once the size
+// passes MaxStates.
+func (p *parser) grow(n int) error {
+	p.size += n
+	if p.size > MaxStates {
+		return fmt.Errorf("%w: more than %d automaton states at offset %d", ErrTooLarge, MaxStates, p.off)
+	}
+	return nil
 }
 
 func isLabelRune(r rune) bool {
@@ -149,6 +189,10 @@ func (p *parser) alt() (Expr, error) {
 		return nil, err
 	}
 	for p.tok == tokPipe {
+		// The alternation's join state.
+		if err := p.grow(1); err != nil {
+			return nil, err
+		}
 		p.next()
 		r, err := p.seq()
 		if err != nil {
@@ -166,6 +210,11 @@ func (p *parser) seq() (Expr, error) {
 	}
 	for p.tok == tokDot || p.tok == tokSlash {
 		desc := p.tok == tokSlash
+		if desc {
+			if err := p.grow(descStates); err != nil {
+				return nil, err
+			}
+		}
 		p.next()
 		r, err := p.post()
 		if err != nil {
@@ -186,10 +235,16 @@ func (p *parser) post() (Expr, error) {
 		return nil, err
 	}
 	for p.tok == tokOpt || p.tok == tokStar {
+		// A star adds entry and exit states; an option adds nesting only.
 		if p.tok == tokOpt {
+			err = p.grow(1)
 			e = Opt{X: e}
 		} else {
+			err = p.grow(2)
 			e = Star{X: e}
+		}
+		if err != nil {
+			return nil, err
 		}
 		p.next()
 	}
@@ -198,14 +253,21 @@ func (p *parser) post() (Expr, error) {
 
 func (p *parser) atom() (Expr, error) {
 	switch p.tok {
-	case tokLabel:
-		e := Label{Name: p.text}
+	case tokLabel, tokWild:
+		// The label's or wildcard's target state.
+		if err := p.grow(1); err != nil {
+			return nil, err
+		}
+		var e Expr = Wildcard{}
+		if p.tok == tokLabel {
+			e = Label{Name: p.text}
+		}
 		p.next()
 		return e, nil
-	case tokWild:
-		p.next()
-		return Wildcard{}, nil
 	case tokLParen:
+		if p.depth++; p.depth > MaxStates {
+			return nil, fmt.Errorf("%w: groups nested more than %d deep at offset %d", ErrTooLarge, MaxStates, p.off)
+		}
 		p.next()
 		e, err := p.alt()
 		if err != nil {
@@ -214,6 +276,7 @@ func (p *parser) atom() (Expr, error) {
 		if p.tok != tokRParen {
 			return nil, fmt.Errorf("rpe: missing ')' at offset %d", p.off)
 		}
+		p.depth--
 		p.next()
 		return e, nil
 	case tokErr:

@@ -18,7 +18,7 @@ import (
 func (c *Compiled) ReferenceEval(g Source, visited func(graph.NodeID)) []graph.NodeID {
 	n := g.NumNodes()
 	states := make([][]bool, n)
-	start := c.fwd.startSet()
+	start := c.fwdNFA.startSet()
 
 	queue := make([]graph.NodeID, 0, 64)
 	inQueue := make([]bool, n)
@@ -29,7 +29,7 @@ func (c *Compiled) ReferenceEval(g Source, visited func(graph.NodeID)) []graph.N
 		}
 	}
 	for i := 0; i < n; i++ {
-		if s := c.fwd.stepOn(start, g.Label(graph.NodeID(i))); s != nil {
+		if s := c.fwdNFA.stepOn(start, g.Label(graph.NodeID(i))); s != nil {
 			states[i] = s
 			push(graph.NodeID(i))
 		}
@@ -42,7 +42,7 @@ func (c *Compiled) ReferenceEval(g Source, visited func(graph.NodeID)) []graph.N
 			visited(cur)
 		}
 		for _, ch := range g.Children(cur) {
-			delta := c.fwd.stepOn(states[cur], g.Label(ch))
+			delta := c.fwdNFA.stepOn(states[cur], g.Label(ch))
 			if delta == nil {
 				continue
 			}
@@ -54,7 +54,7 @@ func (c *Compiled) ReferenceEval(g Source, visited func(graph.NodeID)) []graph.N
 
 	var out []graph.NodeID
 	for i := 0; i < n; i++ {
-		if states[i] != nil && c.fwd.anyAccept(states[i]) {
+		if states[i] != nil && c.fwdNFA.anyAccept(states[i]) {
 			out = append(out, graph.NodeID(i))
 		}
 	}
@@ -63,8 +63,8 @@ func (c *Compiled) ReferenceEval(g Source, visited func(graph.NodeID)) []graph.N
 }
 
 // ReferenceMatchesNode is the unoptimized counterpart of MatchesNode: the
-// same (node, state) BFS with per-call map working state instead of pooled
-// stamped arrays.
+// same (node, state) BFS, stepping the []bool NFA with per-call map working
+// state instead of set-table lookups and pooled per-node records.
 func (c *Compiled) ReferenceMatchesNode(g Source, node graph.NodeID, visited func(graph.NodeID)) bool {
 	seen := make(map[pair]bool)
 	seenNode := make(map[graph.NodeID]bool)
@@ -80,7 +80,7 @@ func (c *Compiled) ReferenceMatchesNode(g Source, node graph.NodeID, visited fun
 			if !set[q] {
 				continue
 			}
-			if c.rev.accept[q] {
+			if c.revNFA.accept[q] {
 				return true
 			}
 			it := pair{n, int32(q)}
@@ -93,14 +93,14 @@ func (c *Compiled) ReferenceMatchesNode(g Source, node graph.NodeID, visited fun
 	}
 
 	visit(node)
-	startSet := c.rev.stepOn(c.rev.startSet(), g.Label(node))
+	startSet := c.revNFA.stepOn(c.revNFA.startSet(), g.Label(node))
 	if startSet == nil {
 		return false
 	}
 	if enqueue(node, startSet) {
 		return true
 	}
-	single := make([]bool, c.rev.NumStates())
+	single := make([]bool, c.revNFA.NumStates())
 	for len(queue) > 0 {
 		cur := queue[0]
 		queue = queue[1:]
@@ -110,7 +110,7 @@ func (c *Compiled) ReferenceMatchesNode(g Source, node graph.NodeID, visited fun
 		}
 		single[cur.q] = true
 		for _, p := range g.Parents(cur.n) {
-			next := c.rev.stepOn(single, g.Label(p))
+			next := c.revNFA.stepOn(single, g.Label(p))
 			if next == nil {
 				continue
 			}
@@ -121,4 +121,23 @@ func (c *Compiled) ReferenceMatchesNode(g Source, node graph.NodeID, visited fun
 		}
 	}
 	return false
+}
+
+// mergeStates ORs delta into *dst, reporting whether *dst grew.
+func mergeStates(dst *[]bool, delta []bool) bool {
+	if *dst == nil {
+		cp := make([]bool, len(delta))
+		copy(cp, delta)
+		*dst = cp
+		return true
+	}
+	grew := false
+	d := *dst
+	for q := range delta {
+		if delta[q] && !d[q] {
+			d[q] = true
+			grew = true
+		}
+	}
+	return grew
 }

@@ -1,7 +1,9 @@
 package rpe
 
 import (
+	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"dkindex/internal/graph"
@@ -312,5 +314,107 @@ func TestParseUnderscoreLabels(t *testing.T) {
 	e = MustParse("_foo.bar")
 	if labels := Labels(e); len(labels) != 2 || labels[0] != "_foo" {
 		t.Errorf("_foo.bar labels = %v", labels)
+	}
+}
+
+// MatchesNode draws its working state from a pool and steps through
+// precompiled tables, so once warm it must not allocate — for one-word and
+// multi-word state sets alike, and with a visit callback attached.
+func TestMatchesNodeDoesNotAllocate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under -race")
+	}
+	g := graph.FigureOneMovies()
+	visits := 0
+	charge := func(graph.NodeID) { visits++ }
+	for _, tc := range []struct {
+		src   string
+		words int
+	}{
+		{"movieDB//name", 1},
+		{"(" + strings.Repeat("actor|", 40) + "director)//name", 2},
+	} {
+		c := CompileExpr(MustParse(tc.src), g.Labels())
+		if c.rev.words != tc.words {
+			t.Fatalf("%s: %d-word state sets, want %d", tc.src, c.rev.words, tc.words)
+		}
+		allocs := testing.AllocsPerRun(100, func() {
+			for n := 0; n < g.NumNodes(); n++ {
+				c.MatchesNode(g, graph.NodeID(n), charge)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s: %.1f allocations per sweep of MatchesNode, want 0", tc.src, allocs)
+		}
+	}
+}
+
+// MatchesNode's pooled scratch serves automata of every width in turn: a
+// search must never read state marks a search at another width left behind.
+func TestMatchesNodeMixedWidths(t *testing.T) {
+	g := graph.FigureOneMovies()
+	var cs []*Compiled
+	widths := map[int]bool{}
+	for _, src := range []string{
+		"movieDB//name",
+		"(" + strings.Repeat("actor|", 40) + "director)//name",
+		"(" + strings.Repeat("movie|", 70) + "movieDB)._*.name",
+		"director.movie.title",
+	} {
+		c := CompileExpr(MustParse(src), g.Labels())
+		cs = append(cs, c)
+		widths[c.rev.words] = true
+	}
+	if len(widths) != 3 {
+		t.Fatalf("state-set widths %v, want three different ones", widths)
+	}
+	for round := 0; round < 3; round++ {
+		for _, c := range cs {
+			for n := 0; n < g.NumNodes(); n++ {
+				var visits, refVisits int
+				got := c.MatchesNode(g, graph.NodeID(n), func(graph.NodeID) { visits++ })
+				want := c.ReferenceMatchesNode(g, graph.NodeID(n), func(graph.NodeID) { refVisits++ })
+				if got != want || visits != refVisits {
+					t.Fatalf("%s at %d: %v (%d visits), reference %v (%d visits)",
+						c.Expr, n, got, visits, want, refVisits)
+				}
+			}
+		}
+	}
+}
+
+// Parse charges each expression its automaton states, plus its nesting, and
+// refuses one over MaxStates. It stops at the bound, so an input of any
+// length costs no more to refuse than one at the bound.
+func TestParseSizeBound(t *testing.T) {
+	labels := graph.FigureOneMovies().Labels()
+	// A chain of k wildcards compiles to k+1 states.
+	chain := func(k int) string { return strings.TrimSuffix(strings.Repeat("_.", k), ".") }
+	for _, src := range []string{chain(MaxStates - 1), "//" + chain(MaxStates-4)} {
+		e, err := Parse(src)
+		if err != nil {
+			t.Fatalf("%d-byte expression at the bound: %v", len(src), err)
+		}
+		if n := CompileExpr(e, labels).fwdNFA.NumStates(); n != MaxStates {
+			t.Errorf("%d-byte expression at the bound: %d states, want %d", len(src), n, MaxStates)
+		}
+	}
+	for name, src := range map[string]string{
+		"wildcard chain": chain(MaxStates),
+		"1 MB chain":     chain(1 << 19),
+		"leading //":     "//" + chain(MaxStates-3),
+		"descendants":    "a" + strings.Repeat("//a", MaxStates/4),
+		"alternatives":   "a" + strings.Repeat("|a", MaxStates/2),
+		"stars":          "a" + strings.Repeat("*", MaxStates/2),
+		"options":        "a" + strings.Repeat("?", MaxStates),
+		"nested groups":  strings.Repeat("(", MaxStates+1) + "a" + strings.Repeat(")", MaxStates+1),
+	} {
+		if _, err := Parse(src); !errors.Is(err, ErrTooLarge) {
+			t.Errorf("%s: err %v, want ErrTooLarge", name, err)
+		}
+	}
+	huge := chain(1 << 19)
+	if allocs := testing.AllocsPerRun(1, func() { Parse(huge) }); allocs > 4*MaxStates {
+		t.Errorf("refusing a 1 MB chain made %.0f allocations: the parser read past the bound", allocs)
 	}
 }

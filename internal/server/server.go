@@ -370,7 +370,7 @@ func (s *Server) runQuery(w http.ResponseWriter, r *http.Request, req dkindex.Re
 		Duration:  time.Since(start),
 	}
 	if err != nil {
-		entry.Status = http.StatusBadRequest
+		entry.Status, _ = queryErrorStatus(err)
 		s.obs.Slow.Add(entry)
 		return nil, err
 	}
@@ -422,7 +422,8 @@ func (s *Server) handleLegacyQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	out, err := s.runQuery(w, r, req)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, codeBadQuery, err)
+		status, code := queryErrorStatus(err)
+		writeError(w, status, code, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, out)
@@ -449,10 +450,21 @@ func (s *Server) handleV1Query(w http.ResponseWriter, r *http.Request) {
 	}
 	out, err := s.runQuery(w, r, dkindex.Request{Kind: kind, Text: text, Limit: limit})
 	if err != nil {
-		writeError(w, http.StatusBadRequest, codeBadQuery, err)
+		status, code := queryErrorStatus(err)
+		writeError(w, status, code, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, out)
+}
+
+// queryErrorStatus maps a failed query to its HTTP status and error code:
+// 413 too_large for a query over the evaluator's size limit, 400 bad_query
+// for every other failure.
+func queryErrorStatus(err error) (int, string) {
+	if errors.Is(err, dkindex.ErrQueryTooLarge) {
+		return http.StatusRequestEntityTooLarge, codeTooLarge
+	}
+	return http.StatusBadRequest, codeBadQuery
 }
 
 // batchQuery is one item of a POST /v1/query body.
@@ -514,7 +526,8 @@ func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 	var generation uint64
 	for i, br := range batch {
 		if br.Err != nil {
-			items[i] = map[string]string{"error": br.Err.Error(), "code": codeBadQuery}
+			_, code := queryErrorStatus(br.Err)
+			items[i] = map[string]string{"error": br.Err.Error(), "code": code}
 			continue
 		}
 		res := br.Result

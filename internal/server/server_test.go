@@ -109,6 +109,33 @@ func TestQueryEndpoints(t *testing.T) {
 	}
 }
 
+// An expression over the evaluator's size bound is refused as too_large, on
+// the legacy and /v1 routes and in place within a batch.
+func TestQueryTooLarge(t *testing.T) {
+	ts, _ := newTestServer(t)
+	long := strings.Repeat("_.", 2000) + "_"
+	for _, url := range []string{ts.URL + "/query?rpe=" + long, ts.URL + "/v1/query?kind=rpe&q=" + long} {
+		code, body := get(t, url)
+		if code != http.StatusRequestEntityTooLarge || body["code"] != "too_large" {
+			t.Errorf("%.40s...: %d %v, want 413 too_large", url, code, body["code"])
+		}
+	}
+	code, body := post(t, ts.URL+"/v1/query", "application/json",
+		`{"queries":[{"kind":"rpe","q":"movieDB//name"},{"kind":"rpe","q":"`+long+`"},{"kind":"rpe","q":"(("}]}`)
+	if code != 200 {
+		t.Fatalf("batch = %d %v", code, body)
+	}
+	items := body["results"].([]any)
+	if c := items[0].(map[string]any)["count"]; c != 3.0 {
+		t.Errorf("batch item 0 count = %v, want 3", c)
+	}
+	for i, want := range []string{1: "too_large", 2: "bad_query"} {
+		if i > 0 && items[i].(map[string]any)["code"] != want {
+			t.Errorf("batch item %d = %v, want code %s", i, items[i], want)
+		}
+	}
+}
+
 func TestQueryLimit(t *testing.T) {
 	ts, _ := newTestServer(t)
 	code, body := get(t, ts.URL+"/query?path=director.movie.title&limit=1")

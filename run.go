@@ -37,6 +37,11 @@ const (
 	KindTwig Kind = "twig"
 )
 
+// ErrQueryTooLarge is wrapped by Run's error for a query that is too large
+// to evaluate: a regular path expression over rpe.MaxStates automaton
+// states. The query is rejected while it is parsed, before it is compiled.
+var ErrQueryTooLarge = rpe.ErrTooLarge
+
 // Request describes one query for Run.
 type Request struct {
 	// Kind selects the query language; empty means KindPath.
@@ -204,9 +209,10 @@ func (x *Index) runOn(s *snapshot, req Request) (Result, error) {
 			x.observer.ObserveQueryError(string(kind))
 			return Result{}, err
 		}
-		c := rpe.CompileExpr(e, labels)
+		// Compiling builds both automata and their set tables, work a
+		// cache hit never needs.
 		evalFn = func(tr *obs.Trace) ([]NodeID, eval.Cost) {
-			return eval.IndexRPETraced(ig, c, tr)
+			return eval.IndexRPETraced(ig, rpe.CompileExpr(e, labels), tr)
 		}
 	case KindTwig:
 		tw, err := eval.ParseTwig(labels, req.Text)

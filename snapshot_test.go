@@ -2,8 +2,11 @@ package dkindex
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
+
+	"dkindex/internal/rpe"
 )
 
 // TestRunMatchesWrappers proves the deprecated per-kind methods are thin
@@ -276,5 +279,31 @@ func TestSnapshotIsolationAcrossMutation(t *testing.T) {
 	}
 	if after.Generation != before.Generation+1 {
 		t.Errorf("generation %d -> %d, want +1", before.Generation, after.Generation)
+	}
+}
+
+// TestRunRefusesOversizedRPE sends a 1 MB wildcard chain through Run: it is
+// refused with ErrQueryTooLarge while parsing, before compilation, and
+// consumes no cache entry. A chain at the bound is still answered.
+func TestRunRefusesOversizedRPE(t *testing.T) {
+	idx := open(t)
+	chain := func(k int) string { return strings.TrimSuffix(strings.Repeat("_.", k), ".") }
+	huge := chain(1 << 19)
+	if _, err := idx.Run(Request{Kind: KindRPE, Text: huge}); !errors.Is(err, ErrQueryTooLarge) {
+		t.Fatalf("1 MB chain: err %v, want ErrQueryTooLarge", err)
+	}
+	if n := idx.ResultCacheLen(); n != 0 {
+		t.Errorf("refused query left %d cache entries", n)
+	}
+	if allocs := testing.AllocsPerRun(1, func() { idx.Run(Request{Kind: KindRPE, Text: huge}) }); allocs > 4*rpe.MaxStates {
+		t.Errorf("refusing a 1 MB chain made %.0f allocations", allocs)
+	}
+	// MaxStates-1 wildcards compile to exactly MaxStates states.
+	res, err := idx.Run(Request{Kind: KindRPE, Text: chain(rpe.MaxStates - 1)})
+	if err != nil {
+		t.Fatalf("chain at the bound: %v", err)
+	}
+	if res.Total != 0 {
+		t.Errorf("chain of %d wildcards matched %d nodes", rpe.MaxStates-1, res.Total)
 	}
 }
